@@ -395,9 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--ro", default=None, choices=("sha256", "siphash", "fast"),
-        help="random-oracle backend for offline generation; 'fast' is "
-        "byte-identical to 'siphash' with a GIL-releasing execution "
-        "profile (default: $ABNN2_RO or the library default)",
+        help="random-oracle backend for every OT and GC sub-protocol, bank "
+        "generation included; 'fast' is the native SipHash kernel, "
+        "byte-identical to the numpy 'siphash' reference "
+        "(default: $ABNN2_RO or fast)",
     )
     p.add_argument(
         "--batch-window-ms", type=float, default=None,
@@ -447,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace-out", help="write this party's trace JSON after the run")
     p.add_argument(
         "--ro", default=None, choices=("sha256", "siphash", "fast"),
-        help="random-oracle backend; must be mask-compatible with the "
-        "server's ('fast' and 'siphash' are interchangeable; default: "
-        "$ABNN2_RO or the library default)",
+        help="random-oracle backend for every OT and GC sub-protocol; must "
+        "be mask-compatible with the server's ('fast' and 'siphash' are "
+        "interchangeable; default: $ABNN2_RO or fast)",
     )
     p.set_defaults(func=cmd_predict)
 

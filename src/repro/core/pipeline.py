@@ -37,13 +37,14 @@ pops its bank only after a fully successful round).
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.plan import LayerGraphPlan, PlanNode
 from repro.core.relu import _from_bit_rows, _template, _to_bit_rows
-from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.hash_ro import RandomOracle
 from repro.errors import ConfigError, ProtocolError
 from repro.gc.circuit import Circuit
 from repro.gc.garble import LABEL_WORDS
@@ -159,7 +160,7 @@ class GarbleStreamWorker:
         mux: ChannelMux,
         jobs: list[StreamJob],
         config: PipelineConfig,
-        ro: RandomOracle = default_ro,
+        ro: RandomOracle,
     ) -> None:
         self._mux = mux
         self._jobs = list(jobs)
@@ -274,14 +275,14 @@ def streamed_relu_server(
     sessions: GcSessions,
     ring: Ring,
     *,
-    ro: RandomOracle = default_ro,
     tracer: Tracer | None = None,
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Server (evaluator) side of one streamed oblivious ReLU layer.
 
     The label OT runs on ``sessions``' channel (the main stream); the
-    chunked tables arrive on ``gstream``.  Returns ``(z0, info)`` with
-    ``z0`` shaped like ``y0``.
+    chunked tables arrive on ``gstream`` and are evaluated with
+    ``sessions.ro``.  Returns ``(z0, info)`` with ``z0`` shaped like
+    ``y0``.
     """
     shape = np.shape(y0)
     flat = ring.reduce(y0).reshape(-1)
@@ -295,9 +296,7 @@ def streamed_relu_server(
         ).reshape(n_eval_bits, n_inst, LABEL_WORDS)
     else:
         my_labels = np.zeros((0, n_inst, LABEL_WORDS), dtype=np.uint64)
-    if tracer is not None:
-        with tracer.span("gc-stream", stream=gstream.tag):
-            out_bits, info = evaluate_stream(gstream, circuit, my_labels, n_inst, ro=ro)
-    else:
-        out_bits, info = evaluate_stream(gstream, circuit, my_labels, n_inst, ro=ro)
+    span = tracer.span("gc-stream", stream=gstream.tag) if tracer is not None else nullcontext()
+    with span:
+        out_bits, info = evaluate_stream(gstream, circuit, my_labels, n_inst, ro=sessions.ro)
     return _from_bit_rows(ring, out_bits).reshape(shape), info

@@ -589,7 +589,7 @@ class Abnn2Server(_PartyBase):
                             gstream.tracer = self.tracer
                             share0, info = streamed_relu_server(
                                 gstream, y0, self._gc_mux, self.ring,
-                                ro=self.ro, tracer=self.tracer,
+                                tracer=self.tracer,
                             )
                             span.attrs["stream_chunks"] = info["chunks"]
                             span.attrs["peak_table_bytes"] = info["peak_table_bytes"]

@@ -2,8 +2,9 @@
 
 Layers, bottom to top:
 
-* :mod:`repro.crypto.hash_ro` / :mod:`repro.crypto.siphash` — random-oracle
-  backends (reference SHA-256; numpy-vectorized SipHash for bulk masking).
+* :mod:`repro.crypto.hash_ro` / :mod:`repro.crypto.fastro` /
+  :mod:`repro.crypto.siphash` — random-oracle backends (fixed-key SipHash
+  on a native kernel by default; numpy SipHash and SHA-256 references).
 * :mod:`repro.crypto.prg` — seed expansion.
 * :mod:`repro.crypto.group` / :mod:`repro.crypto.baseot` — public-key base
   oblivious transfers (Naor–Pinkas style over a MODP group).

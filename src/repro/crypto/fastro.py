@@ -1,36 +1,31 @@
-"""Fast random-oracle backend: the SipHash oracle, engineered for parallelism.
+"""The default random oracle: fixed-key SipHash-2-4 on a native kernel.
 
 :data:`fast_ro` computes the **same function** as
 :data:`repro.crypto.hash_ro.siphash_ro` — every output word is bit-for-bit
 ``SipHash-2-4(FIXED_KEY, row || domain<<32 | counter)`` — so the two
 backends are interchangeable mid-protocol and produce byte-identical
-shares and transcripts (pinned by ``tests/test_exec_process.py``).  What
-changes is the execution profile, which is what the parallel executors
-need:
+shares and transcripts (pinned by ``tests/test_exec_process.py``).  It
+is the library's :data:`~repro.crypto.hash_ro.default_ro`, standing in
+for the fixed-key AES-NI hashing of production OT stacks.  What changes
+against the numpy reference is the execution profile:
 
-* **Shared-prefix absorption.**  ``prf_expand`` appends a distinct
-  counter word per output word and re-hashes the whole row each time;
-  here the row prefix is absorbed once and only the counter/finalization
-  stage runs per output word — ~2x fewer SipRounds at the triplet
-  workload's widths (W=16 for o=64 at 16 bits).
-* **In-place rounds.**  The round function runs in six preallocated
-  state/scratch buffers instead of allocating ~14 temporaries per round,
-  which keeps the numpy glue (the GIL-holding part) short.
-* **Row chunking.**  Requests are processed in bounded row blocks, so a
-  huge ``pads()`` call becomes a sequence of medium-sized kernel calls
-  between which the GIL can rotate to other shard threads, and scratch
-  memory stays flat.
-* **Native kernel hook.**  If a C compiler is available (or a prebuilt
+* **Native kernel.**  If a C compiler is available (or a prebuilt
   shared object is supplied via ``ABNN2_RO_KERNEL``), a tiny embedded
   SipHash kernel is compiled once per machine and invoked through
-  ``ctypes`` — foreign calls release the GIL for their entire duration,
-  which is what lets *thread* executors overlap hashing for real.  The
-  kernel computes the identical function; when compilation fails or
-  ``ABNN2_RO_NATIVE=0`` is set, the pure-numpy path above is used and
-  nothing else changes.
+  ``ctypes``.  It absorbs each row prefix once and runs only the
+  counter/finalization stage per output word, and foreign calls release
+  the GIL for their entire duration, which is what lets the two party
+  threads and the *thread* executors overlap hashing for real.
+* **Row chunking.**  Requests are processed in bounded row blocks, so a
+  huge ``pads()`` call becomes a sequence of medium-sized kernel calls
+  between which the GIL can rotate to other threads, and scratch
+  memory stays flat.
+* **Fallback.**  When compilation fails or ``ABNN2_RO_NATIVE=0`` is set,
+  each block goes through the numpy reference
+  :func:`repro.crypto.siphash.prf_expand` and nothing else changes.
 
 The backend registry (:func:`repro.crypto.hash_ro.get_ro`) exposes this
-module as ``"fast"``.
+module as ``"fast"`` (registry name ``siphash24-fast``).
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ import threading
 import numpy as np
 
 from repro.crypto.hash_ro import RandomOracle
-from repro.crypto.siphash import FIXED_KEY
+from repro.crypto.siphash import FIXED_KEY, prf_expand
 
 _U64 = np.uint64
 
@@ -53,14 +48,9 @@ _U64 = np.uint64
 #: few MiB and keeps individual GIL-holding numpy ops short.
 _ROW_BLOCK_WORDS = 1 << 19
 
-_V0 = _U64(0x736F6D6570736575)
-_V1 = _U64(0x646F72616E646F6D)
-_V2 = _U64(0x6C7967656E657261)
-_V3 = _U64(0x7465646279746573)
-
 
 # --------------------------------------------------------------------- #
-# native kernel (optional)
+# native kernel
 # --------------------------------------------------------------------- #
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
@@ -172,79 +162,6 @@ def kernel_active() -> bool:
 
 
 # --------------------------------------------------------------------- #
-# pure-numpy fallback: shared-prefix absorption, in-place rounds
-# --------------------------------------------------------------------- #
-def _rotl_io(v: np.ndarray, bits: int, t: np.ndarray) -> None:
-    np.left_shift(v, _U64(bits), out=t)
-    v >>= _U64(64 - bits)
-    v |= t
-
-
-def _sipround_io(v0, v1, v2, v3, t) -> None:
-    v0 += v1
-    _rotl_io(v1, 13, t)
-    v1 ^= v0
-    _rotl_io(v0, 32, t)
-    v2 += v3
-    _rotl_io(v3, 16, t)
-    v3 ^= v2
-    v0 += v3
-    _rotl_io(v3, 21, t)
-    v3 ^= v0
-    v2 += v1
-    _rotl_io(v1, 17, t)
-    v1 ^= v2
-    _rotl_io(v2, 32, t)
-
-
-def _numpy_expand(flat: np.ndarray, out_words: int, domain: int) -> np.ndarray:
-    """(R, words) rows -> (R, out_words), identical to siphash.prf_expand."""
-    n_rows, words = flat.shape
-    k0, k1 = _U64(FIXED_KEY[0]), _U64(FIXED_KEY[1])
-    counters = np.arange(out_words, dtype=_U64) | (_U64(domain) << _U64(32))
-    final = _U64((8 * (words + 1)) % 256 << 56)
-    shape = (n_rows, out_words)
-    v0 = np.empty(n_rows, dtype=_U64)
-    v1 = np.empty(n_rows, dtype=_U64)
-    v2 = np.empty(n_rows, dtype=_U64)
-    v3 = np.empty(n_rows, dtype=_U64)
-    v0[:] = _V0 ^ k0
-    v1[:] = _V1 ^ k1
-    v2[:] = _V2 ^ k0
-    v3[:] = _V3 ^ k1
-    t = np.empty(n_rows, dtype=_U64)
-    with np.errstate(over="ignore"):
-        # Absorb the row prefix once; prf_expand redoes it per output word.
-        for i in range(words):
-            m = flat[:, i]
-            v3 ^= m
-            _sipround_io(v0, v1, v2, v3, t)
-            _sipround_io(v0, v1, v2, v3, t)
-            v0 ^= m
-        # Broadcast the prefix state across the counter axis, then run the
-        # per-output-word tail (counter absorb + finalization) in place.
-        w0 = np.repeat(v0[:, None], out_words, axis=1)
-        w1 = np.repeat(v1[:, None], out_words, axis=1)
-        w2 = np.repeat(v2[:, None], out_words, axis=1)
-        w3 = v3[:, None] ^ counters
-        ts = np.empty(shape, dtype=_U64)
-        _sipround_io(w0, w1, w2, w3, ts)
-        _sipround_io(w0, w1, w2, w3, ts)
-        w0 ^= counters
-        w3 ^= final
-        _sipround_io(w0, w1, w2, w3, ts)
-        _sipround_io(w0, w1, w2, w3, ts)
-        w0 ^= final
-        w2 ^= _U64(0xFF)
-        for _ in range(4):
-            _sipround_io(w0, w1, w2, w3, ts)
-        w0 ^= w1
-        w0 ^= w2
-        w0 ^= w3
-        return w0
-
-
-# --------------------------------------------------------------------- #
 # the backend
 # --------------------------------------------------------------------- #
 def prf_expand_fast(
@@ -253,7 +170,8 @@ def prf_expand_fast(
     """Drop-in :func:`repro.crypto.siphash.prf_expand` (fixed key only).
 
     Work is processed in bounded row blocks; each block is one native
-    kernel call (GIL released) or one in-place numpy pass.
+    kernel call (GIL released) or one :func:`prf_expand` call, whose
+    ``(rows, out_words, words + 1)`` message tensor sizes its block.
     """
     msg = np.atleast_2d(np.asarray(message_words, dtype=_U64))
     lead = msg.shape[:-1]
@@ -261,8 +179,9 @@ def prf_expand_fast(
     flat = np.ascontiguousarray(msg.reshape(-1, words))
     n_rows = flat.shape[0]
     out = np.empty((n_rows, out_words), dtype=_U64)
-    block = max(1, _ROW_BLOCK_WORDS // max(1, out_words))
     lib = _load_kernel()
+    row_words = out_words if lib else out_words * (words + 1)
+    block = max(1, _ROW_BLOCK_WORDS // max(1, row_words))
     for lo in range(0, n_rows, block):
         hi = min(n_rows, lo + block)
         if lib:
@@ -273,14 +192,10 @@ def prf_expand_fast(
                 domain, FIXED_KEY[0], FIXED_KEY[1],
             )
         else:
-            out[lo:hi] = _numpy_expand(flat[lo:hi], out_words, domain)
+            out[lo:hi] = prf_expand(flat[lo:hi], out_words, domain=domain)
     return out.reshape(lead + (out_words,))
 
 
-def _fast_mask(rows: np.ndarray, out_words: int, domain: int) -> np.ndarray:
-    return prf_expand_fast(rows, out_words, domain=domain)
-
-
 #: Same oracle function as :data:`repro.crypto.hash_ro.siphash_ro`, fast
-#: execution profile (chunked, in-place, optional GIL-releasing kernel).
-fast_ro = RandomOracle("siphash24-fast", _fast_mask)
+#: execution profile (chunked, GIL-releasing kernel, numpy fallback).
+fast_ro = RandomOracle("siphash24-fast", prf_expand_fast)

@@ -1,14 +1,19 @@
-"""Random-oracle backends shared by the OT protocols.
+"""Random-oracle backends shared by the OT and GC protocols.
 
-Two interchangeable implementations of the same interface:
+Three implementations of one interface:
 
-* :data:`sha256_ro` — per-row SHA-256; the conservative reference used for
-  base OTs and in cross-checking tests.
+* :data:`sha256_ro` — per-row SHA-256; the conservative reference used
+  for base OTs and in cross-checking tests, **not** mask-compatible with
+  the other two.
 * :data:`siphash_ro` — numpy-vectorized fixed-key SipHash-2-4
-  (:mod:`repro.crypto.siphash`); the default for bulk OT-extension masking,
-  mirroring the fixed-key AES hashing used by production OT stacks.
+  (:mod:`repro.crypto.siphash`); the reference that tests and the
+  parallel-offline benchmark's baseline compare the kernel against.
+* :data:`~repro.crypto.fastro.fast_ro` — the same SipHash function on
+  a GIL-releasing native kernel with a numpy fallback
+  (:mod:`repro.crypto.fastro`); the :data:`default_ro`, standing in for
+  the fixed-key AES-NI hashing used by production OT stacks.
 
-Both expose ``mask(rows, out_words, domain)``: hash each u64 row of
+All expose ``mask(rows, out_words, domain)``: hash each u64 row of
 ``rows`` into ``out_words`` uint64 output words, with ``domain`` giving
 protocol-level separation (e.g. OT instance indices live in the row
 itself; the domain separates sub-protocols).
@@ -94,17 +99,20 @@ def _siphash_mask(rows: np.ndarray, out_words: int, domain: int) -> np.ndarray:
 #: Reference backend: counter-mode SHA-256 per row.
 sha256_ro = RandomOracle("sha256", _sha256_mask)
 
-#: Fast backend: vectorized fixed-key SipHash-2-4 (default for OT extension).
+#: Numpy reference for the SipHash oracle: vectorized fixed-key SipHash-2-4.
 siphash_ro = RandomOracle("siphash24", _siphash_mask)
 
+# fastro builds its oracle from RandomOracle above, so it is imported last.
+from repro.crypto.fastro import fast_ro  # noqa: E402
+
 #: The backend protocol code uses unless told otherwise.
-default_ro = siphash_ro
+default_ro = fast_ro
 
 
 def get_ro(name: str) -> RandomOracle:
     """Resolve a backend by registry name.
 
-    ``"fast"`` is the execution-optimized SipHash implementation in
+    ``"fast"`` (the default) is the kernel-backed SipHash in
     :mod:`repro.crypto.fastro` — the *same function* as ``"siphash"``
     (byte-identical masks, hence byte-identical shares and transcripts),
     so the two may even differ between the parties; ``"sha256"`` is the
@@ -115,8 +123,6 @@ def get_ro(name: str) -> RandomOracle:
     if name in ("siphash", "siphash24"):
         return siphash_ro
     if name in ("fast", "siphash24-fast"):
-        from repro.crypto.fastro import fast_ro
-
         return fast_ro
     if name == "default":
         return default_ro

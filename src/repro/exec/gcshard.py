@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.hash_ro import RandomOracle
 from repro.errors import ConfigError
 from repro.exec.pool import run_sharded, shard_entropy
 from repro.exec.triplets import ShardPlan
@@ -46,14 +46,14 @@ def _garbler_shard(stream, s, lo, hi, circuit, bits, group, ro, ot_seed, rng):
     sessions = GcSessions(
         stream, "garbler", group=group, ro=ro, seed=ot_seed, session_tag=s
     )
-    run_garbler(stream, circuit, bits[:, lo:hi], hi - lo, sessions, rng, ro)
+    run_garbler(stream, circuit, bits[:, lo:hi], hi - lo, sessions, rng)
 
 
 def _evaluator_shard(stream, s, lo, hi, circuit, bits, group, ro, ot_seed):
     sessions = GcSessions(
         stream, "evaluator", group=group, ro=ro, seed=ot_seed, session_tag=s
     )
-    return run_evaluator(stream, circuit, bits[:, lo:hi], hi - lo, sessions, ro)
+    return run_evaluator(stream, circuit, bits[:, lo:hi], hi - lo, sessions)
 
 
 def _garbler_shard_entry(chan, payload):
@@ -115,7 +115,8 @@ def run_garbler_sharded(
     plan: ShardPlan,
     seed: int | None = None,
     group: ModpGroup = DEFAULT_GROUP,
-    ro: RandomOracle = default_ro,
+    *,
+    ro: RandomOracle,
 ) -> None:
     """Sharded :func:`repro.gc.protocol.run_garbler` (client side)."""
     bits = np.asarray(garbler_bits, dtype=np.uint8)
@@ -161,7 +162,8 @@ def run_evaluator_sharded(
     plan: ShardPlan,
     seed: int | None = None,
     group: ModpGroup = DEFAULT_GROUP,
-    ro: RandomOracle = default_ro,
+    *,
+    ro: RandomOracle,
 ) -> np.ndarray:
     """Sharded :func:`repro.gc.protocol.run_evaluator` (server side).
 

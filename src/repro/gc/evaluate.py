@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.hash_ro import RandomOracle
 from repro.errors import CryptoError, ProtocolError
 from repro.gc.circuit import Circuit, GateOp
 from repro.gc.garble import LABEL_WORDS, _check_poison, _label_buffer, _LabelHasher
@@ -44,7 +44,7 @@ def evaluate(
     tables: np.ndarray,
     garbler_labels: np.ndarray,
     evaluator_labels: np.ndarray,
-    ro: RandomOracle = default_ro,
+    ro: RandomOracle,
 ) -> np.ndarray:
     """Evaluate the garbled circuit; returns active output labels.
 

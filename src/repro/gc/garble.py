@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.hash_ro import RandomOracle
 from repro.errors import CryptoError
 from repro.gc.circuit import Circuit, GateOp
 
@@ -187,7 +187,7 @@ def garble(
     circuit: Circuit,
     n_inst: int,
     rng: np.random.Generator,
-    ro: RandomOracle = default_ro,
+    ro: RandomOracle,
 ) -> GarbledCircuit:
     """Garble ``circuit`` for ``n_inst`` parallel instances."""
     label0, offset = _sample_input_labels(circuit, n_inst, rng)

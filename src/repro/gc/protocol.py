@@ -14,7 +14,10 @@ Message flow per execution:
 3. evaluator computes locally and decodes its outputs.
 
 :class:`GcSessions` bundles the OT session so callers that run many GC
-layers over one channel pay the 128 base OTs once.
+layers over one channel pay the 128 base OTs once.  It is also the only
+source of the random oracle: the label OT, garbling and evaluation all
+hash with ``sessions.ro``, which has no default, so a caller cannot
+silently run one sub-protocol on a different backend.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.crypto.group import DEFAULT_GROUP, ModpGroup
-from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.hash_ro import RandomOracle
 from repro.crypto.iknp import OtExtReceiver, OtExtSender
 from repro.errors import ProtocolError
 from repro.gc.circuit import Circuit
@@ -36,14 +39,15 @@ _OT_DOMAIN_GC_INPUTS = 11
 
 
 class GcSessions:
-    """Per-channel lazy OT session reused across GC executions."""
+    """Per-channel lazy OT session and oracle reused across GC executions."""
 
     def __init__(
         self,
         chan: Channel,
         role: str,
         group: ModpGroup = DEFAULT_GROUP,
-        ro: RandomOracle = default_ro,
+        *,
+        ro: RandomOracle,
         seed: int | None = None,
         session_tag: int = 0,
     ) -> None:
@@ -80,14 +84,13 @@ def run_garbler(
     n_inst: int,
     sessions: GcSessions,
     rng: np.random.Generator,
-    ro: RandomOracle = default_ro,
 ) -> None:
     """Garble ``circuit`` and drive the garbler side of one execution.
 
     ``garbler_bits`` has shape ``(n_garbler_inputs, n_inst)``.
     """
     with channel_span(chan, "garble", n_inst=n_inst, and_gates=circuit.and_count):
-        gc = garble(circuit, n_inst, rng, ro)
+        gc = garble(circuit, n_inst, rng, sessions.ro)
         own_labels = gc.encode(circuit.garbler_inputs, garbler_bits)
     with channel_span(chan, "gc-transfer", n_inst=n_inst):
         chan.send((gc.tables, own_labels, gc.output_decode_bits()))
@@ -108,7 +111,6 @@ def run_evaluator(
     evaluator_bits: np.ndarray,
     n_inst: int,
     sessions: GcSessions,
-    ro: RandomOracle = default_ro,
 ) -> np.ndarray:
     """Evaluate one garbled execution; returns ``(n_outputs, n_inst)`` bits.
 
@@ -130,5 +132,5 @@ def run_evaluator(
             my_labels = np.zeros((0, n_inst, LABEL_WORDS), dtype=_U64)
 
     with channel_span(chan, "evaluate", n_inst=n_inst):
-        out_labels = evaluate(circuit, tables, garbler_labels, my_labels, ro)
+        out_labels = evaluate(circuit, tables, garbler_labels, my_labels, sessions.ro)
         return decode_outputs(out_labels, decode_bits)

@@ -51,7 +51,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.crypto.hash_ro import RandomOracle, default_ro
+from repro.crypto.hash_ro import RandomOracle
 from repro.errors import ChannelError, ConfigError, ProtocolError
 from repro.gc.circuit import Circuit, GateOp
 from repro.gc.evaluate import _evaluate_and, decode_outputs
@@ -99,7 +99,7 @@ def garble_stream(
     *,
     chunk: int | None = None,
     window: int = DEFAULT_WINDOW,
-    ro: RandomOracle = default_ro,
+    ro: RandomOracle,
     on_pairs: Callable[[np.ndarray], None] | None = None,
 ) -> dict[str, int]:
     """Garble ``circuit`` chunk by chunk, streaming tables over ``chan``.
@@ -194,7 +194,7 @@ def evaluate_stream(
     my_labels: np.ndarray,
     n_inst: int,
     *,
-    ro: RandomOracle = default_ro,
+    ro: RandomOracle,
 ) -> tuple[np.ndarray, dict[str, int]]:
     """Evaluate one streamed execution; returns ``(out_bits, info)``.
 

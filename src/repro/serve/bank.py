@@ -62,6 +62,25 @@ _SHARD_SEED_STRIDE = 15485863
 #: (and thus single-use accounting auditable) across the whole fleet.
 _SHARD_ROUND_ID_SPAN = 1 << 32
 
+#: Replenisher back-off after consecutive generation failures: the first
+#: retry waits the base, each further failure doubles it up to the cap.
+REPLENISH_BACKOFF_BASE_S = 0.1
+REPLENISH_BACKOFF_CAP_S = 10.0
+
+
+def replenish_backoff_s(consecutive_failures: int) -> float:
+    """Seconds the replenisher waits after its n-th failure in a row."""
+    exp = min(max(consecutive_failures - 1, 0), 32)
+    return min(REPLENISH_BACKOFF_CAP_S, REPLENISH_BACKOFF_BASE_S * 2.0**exp)
+
+
+def exhausted_error(failures: int, last_error: str | None) -> ProtocolError:
+    """The typed exhaustion error, naming a failing replenisher if any."""
+    reason = "offline material exhausted"
+    if failures:
+        reason += f" (replenisher failed {failures} time(s); last error: {last_error})"
+    return ProtocolError(reason)
+
 
 def _gen_round_worker(chan, payload):
     """Self-contained child job: one self-play generation round.
@@ -215,6 +234,7 @@ class TripletBank:
         self.generator = generator
         self.stream_chunk_cols = stream_chunk_cols
         self._last_generation_s: float | None = None
+        self._last_error: str | None = None
 
         self._rounds: deque[OfflineRound] = deque()
         self._cond = threading.Condition()
@@ -238,6 +258,7 @@ class TripletBank:
             "take_wait_s": 0.0,
             "replenish_runs": 0,
             "replenish_s": 0.0,
+            "replenish_failures": 0,
             "generation_payload_bytes": 0,
         }
 
@@ -255,6 +276,9 @@ class TripletBank:
         with self._cond:
             out = dict(self._counters)
             out["depth"] = len(self._rounds)
+            # The most recent generation failure of the replenisher
+            # (None if it never failed); kept after it recovers.
+            out["last_error"] = self._last_error
         out["capacity"] = self.capacity
         out["low_water"] = self.low_water
         # Executor facts for operators: which kind of worker is engaged
@@ -393,7 +417,9 @@ class TripletBank:
                     if self._rounds:
                         break
                     self._counters["exhausted_errors"] += 1
-                    raise ProtocolError("offline material exhausted")
+                    raise exhausted_error(
+                        self._counters["replenish_failures"], self._last_error
+                    )
                 if wait_start is None:
                     wait_start = time.monotonic()
                 self._cond.wait(timeout=min(remaining, 0.25))
@@ -428,6 +454,7 @@ class TripletBank:
         return self
 
     def _replenish_loop(self) -> None:
+        consecutive = 0
         while True:
             self._wake.wait(timeout=0.2)
             self._wake.clear()
@@ -452,13 +479,22 @@ class TripletBank:
                 t0 = time.monotonic()
                 try:
                     fresh = self._generate(chunk)
-                except Exception:  # noqa: BLE001 - keep the thread alive
-                    # A generation failure must not kill replenishment
-                    # forever; takers still see backpressure/exhaustion.
+                except Exception as exc:  # noqa: BLE001 - keep the thread alive
+                    # A generation failure must not kill replenishment, but
+                    # it is counted, kept for metrics() and the exhaustion
+                    # deny, and retried with exponential back-off; stop()
+                    # interrupts the wait.
+                    consecutive += 1
                     with self._cond:
                         self._inflight -= chunk
-                    time.sleep(0.1)
+                        self._counters["replenish_failures"] += 1
+                        self._last_error = f"{type(exc).__name__}: {exc}"
+                        self._cond.wait_for(
+                            lambda: self._stopped,
+                            timeout=replenish_backoff_s(consecutive),
+                        )
                     continue
+                consecutive = 0
                 with self._cond:
                     self._inflight -= chunk
                     self._rounds.extend(fresh)
@@ -597,10 +633,13 @@ class ShardedTripletBank:
                 "take_wait_s",
                 "replenish_runs",
                 "replenish_s",
+                "replenish_failures",
                 "generation_payload_bytes",
                 "depth",
             )
         }
+        errors = [m["last_error"] for m in per_shard if m["last_error"]]
+        out["last_error"] = errors[-1] if errors else None
         out["capacity"] = self.capacity
         out["low_water"] = self.low_water
         out["executor"] = self.executor
@@ -657,7 +696,8 @@ class ShardedTripletBank:
             if remaining <= 0:
                 if out:
                     return out
-                raise ProtocolError("offline material exhausted")
+                m = self.metrics()
+                raise exhausted_error(m["replenish_failures"], m["last_error"])
             try:
                 out.extend(
                     self._order()[0].take_many(

@@ -6,6 +6,7 @@ import pytest
 from repro.core.matmul import SecureMatmulClient, SecureMatmulServer
 from repro.core.relu import relu_layer_client, relu_layer_server, truncate_share
 from repro.core.triplets import TripletConfig
+from repro.crypto.hash_ro import default_ro
 from repro.errors import ConfigError, ProtocolError
 from repro.gc.protocol import GcSessions
 from repro.net import run_protocol
@@ -92,11 +93,11 @@ def _run_relu(ring, y, z1, variant, group, n=None):
     y0 = ring.sub(y, y1)
 
     def server_fn(chan):
-        sessions = GcSessions(chan, "evaluator", group=group, seed=1)
+        sessions = GcSessions(chan, "evaluator", group=group, ro=default_ro, seed=1)
         return relu_layer_server(chan, y0, sessions, ring, variant)
 
     def client_fn(chan):
-        sessions = GcSessions(chan, "garbler", group=group, seed=2)
+        sessions = GcSessions(chan, "garbler", group=group, ro=default_ro, seed=2)
         return relu_layer_client(
             chan, y1, z1, sessions, ring, np.random.default_rng(9), variant
         )
@@ -152,7 +153,7 @@ class TestReluLayer:
         from repro.net.channel import make_channel_pair
 
         chan, _ = make_channel_pair()
-        sessions = GcSessions(chan, "evaluator", group=test_group)
+        sessions = GcSessions(chan, "evaluator", group=test_group, ro=default_ro)
         with pytest.raises(ConfigError):
             relu_layer_server(chan, ring.zeros(3), sessions, ring, "nope")
 
@@ -161,7 +162,7 @@ class TestReluLayer:
         from repro.net.channel import make_channel_pair
 
         chan, _ = make_channel_pair()
-        sessions = GcSessions(chan, "garbler", group=test_group)
+        sessions = GcSessions(chan, "garbler", group=test_group, ro=default_ro)
         with pytest.raises(ConfigError):
             relu_layer_client(
                 chan, ring.zeros(4), ring.zeros(5), sessions, ring,

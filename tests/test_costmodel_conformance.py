@@ -24,6 +24,7 @@ from repro.core.triplets import (
     generate_triplets_client,
     generate_triplets_server,
 )
+from repro.crypto.hash_ro import default_ro
 from repro.gc.protocol import GcSessions
 from repro.net import run_protocol
 from repro.perf.costmodel import abnn2_comm_bits_radices, gc_relu_wire_bits
@@ -338,7 +339,7 @@ def _traced_relu(ring, y, z1, variant, group):
     def server_fn(chan):
         tracer = Tracer("server")
         chan.tracer = tracer
-        sessions = GcSessions(chan, "evaluator", group=group, seed=1)
+        sessions = GcSessions(chan, "evaluator", group=group, ro=default_ro, seed=1)
         with tracer.span("online/layer0/relu", **attrs):
             z0 = relu_layer_server(chan, y0, sessions, ring, variant)
         traces["server"] = tracer.to_dict()
@@ -347,7 +348,7 @@ def _traced_relu(ring, y, z1, variant, group):
     def client_fn(chan):
         tracer = Tracer("client")
         chan.tracer = tracer
-        sessions = GcSessions(chan, "garbler", group=group, seed=2)
+        sessions = GcSessions(chan, "garbler", group=group, ro=default_ro, seed=2)
         with tracer.span("online/layer0/relu", **attrs):
             relu_layer_client(
                 chan, y1, z1, sessions, ring, np.random.default_rng(9), variant

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.crypto.hash_ro import default_ro
 from repro.crypto.iknp import MAX_SESSION_TAG, _session_base_index
 from repro.core.triplets import TripletConfig
 from repro.errors import ChannelError, CryptoError
@@ -370,10 +371,12 @@ class TestShardedGc:
             with _no_thread_leak():
                 _, outs[workers] = _both(
                     lambda chan: run_garbler_sharded(
-                        chan, circ, g_bits, n, plan, seed=31, group=test_group
+                        chan, circ, g_bits, n, plan, seed=31, group=test_group,
+                        ro=default_ro,
                     ),
                     lambda chan: run_evaluator_sharded(
-                        chan, circ, e_bits, n, plan, seed=32, group=test_group
+                        chan, circ, e_bits, n, plan, seed=32, group=test_group,
+                        ro=default_ro,
                     ),
                     # garbler is the client role in ABNN2's ReLU layer
                     tuple(reversed(make_channel_pair(timeout_s=30.0))),

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core.triplets import TripletConfig
-from repro.crypto.hash_ro import get_ro, sha256_ro, siphash_ro
+from repro.crypto.hash_ro import default_ro, get_ro, sha256_ro, siphash_ro
 from repro.errors import ChannelError, ConfigError, CryptoError, ProtocolError
 from repro.exec import (
     ShardPlan,
@@ -200,10 +200,12 @@ class TestCrossExecutorDeterminism:
             with _no_thread_leak(), _no_process_leak():
                 _, outs[executor] = _both(
                     lambda chan: run_garbler_sharded(
-                        chan, circ, g_bits, n, plan, seed=31, group=test_group
+                        chan, circ, g_bits, n, plan, seed=31, group=test_group,
+                        ro=default_ro,
                     ),
                     lambda chan: run_evaluator_sharded(
-                        chan, circ, e_bits, n, plan, seed=32, group=test_group
+                        chan, circ, e_bits, n, plan, seed=32, group=test_group,
+                        ro=default_ro,
                     ),
                     tuple(reversed(make_channel_pair(timeout_s=60.0))),
                 )
@@ -235,22 +237,25 @@ class TestFastRoBackend:
                 siphash_ro.mask(rows, width, domain),
             )
 
-    def test_numpy_fallback_matches_native(self):
+    def test_numpy_fallback_matches_native(self, monkeypatch):
         from repro.crypto import fastro
+        from repro.crypto.siphash import prf_expand
 
         rows = np.random.default_rng(3).integers(
             0, 1 << 63, size=(19, 5), dtype=np.uint64
         )
-        want = fastro._numpy_expand(
-            np.ascontiguousarray(rows), 8, 2
-        )
+        native = fastro.prf_expand_fast(rows, 8, 2)
+        monkeypatch.setattr(fastro, "_kernel", False)  # force the fallback
+        assert not fastro.kernel_active()
+        want = prf_expand(rows, 8, domain=2)
         assert np.array_equal(fastro.prf_expand_fast(rows, 8, 2), want)
+        assert np.array_equal(native, want)
 
     def test_registry_resolves_and_rejects(self):
         assert get_ro("sha256") is sha256_ro
         assert get_ro("siphash") is siphash_ro
         assert get_ro("fast").name == "siphash24-fast"
-        assert get_ro("default") is siphash_ro
+        assert get_ro("default") is get_ro("fast") is default_ro
         with pytest.raises(CryptoError, match="unknown random-oracle"):
             get_ro("md5")
 

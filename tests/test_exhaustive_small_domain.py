@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.relu import relu_layer_client, relu_layer_server
+from repro.crypto.hash_ro import default_ro
 from repro.gc.protocol import GcSessions
 from repro.net import run_protocol
 from repro.quant.fragments import TABLE2_SCHEMES
@@ -22,11 +23,11 @@ from repro.utils.ring import Ring
 
 def _run_relu_shares(ring, y0, y1, z1, variant, group):
     def server_fn(chan):
-        sessions = GcSessions(chan, "evaluator", group=group, seed=1)
+        sessions = GcSessions(chan, "evaluator", group=group, ro=default_ro, seed=1)
         return relu_layer_server(chan, y0, sessions, ring, variant)
 
     def client_fn(chan):
-        sessions = GcSessions(chan, "garbler", group=group, seed=2)
+        sessions = GcSessions(chan, "garbler", group=group, ro=default_ro, seed=2)
         return relu_layer_client(
             chan, y1, z1, sessions, ring, np.random.default_rng(9), variant
         )

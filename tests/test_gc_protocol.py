@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.crypto.hash_ro import default_ro
 from repro.errors import ProtocolError
 from repro.gc.builder import relu_template, sign_template
 from repro.gc.circuit import Circuit
@@ -14,11 +15,11 @@ from repro.utils.ring import Ring
 
 def _run_gc(circ, g_bits, e_bits, n_inst, group, garbler_seed=3, eval_seed=4):
     def garbler_fn(chan):
-        sessions = GcSessions(chan, "garbler", group=group, seed=garbler_seed)
+        sessions = GcSessions(chan, "garbler", group=group, ro=default_ro, seed=garbler_seed)
         run_garbler(chan, circ, g_bits, n_inst, sessions, np.random.default_rng(11))
 
     def evaluator_fn(chan):
-        sessions = GcSessions(chan, "evaluator", group=group, seed=eval_seed)
+        sessions = GcSessions(chan, "evaluator", group=group, ro=default_ro, seed=eval_seed)
         return run_evaluator(chan, circ, e_bits, n_inst, sessions)
 
     return run_protocol(garbler_fn, evaluator_fn)
@@ -56,13 +57,13 @@ class TestGcProtocol:
         y0 = ring.sub(y, y1)
 
         def garbler_fn(chan):
-            sessions = GcSessions(chan, "garbler", group=test_group, seed=3)
+            sessions = GcSessions(chan, "garbler", group=test_group, ro=default_ro, seed=3)
             local = np.random.default_rng(11)
             for _ in range(2):
                 run_garbler(chan, circ, int_to_bits(y1, 8).T.copy(), n, sessions, local)
 
         def evaluator_fn(chan):
-            sessions = GcSessions(chan, "evaluator", group=test_group, seed=4)
+            sessions = GcSessions(chan, "evaluator", group=test_group, ro=default_ro, seed=4)
             outs = []
             for _ in range(2):
                 outs.append(run_evaluator(chan, circ, int_to_bits(y0, 8).T.copy(), n, sessions))
@@ -77,14 +78,14 @@ class TestGcProtocol:
         circ = sign_template(8)
 
         def garbler_fn(chan):
-            sessions = GcSessions(chan, "garbler", group=test_group, seed=3)
+            sessions = GcSessions(chan, "garbler", group=test_group, ro=default_ro, seed=3)
             run_garbler(
                 chan, circ, np.zeros((8, 2), dtype=np.uint8), 2, sessions,
                 np.random.default_rng(0),
             )
 
         def evaluator_fn(chan):
-            sessions = GcSessions(chan, "evaluator", group=test_group, seed=4)
+            sessions = GcSessions(chan, "evaluator", group=test_group, ro=default_ro, seed=4)
             return run_evaluator(chan, circ, np.zeros((7, 2), dtype=np.uint8), 2, sessions)
 
         with pytest.raises(ProtocolError):
@@ -95,7 +96,7 @@ class TestGcProtocol:
 
         chan, _ = make_channel_pair()
         with pytest.raises(ProtocolError):
-            GcSessions(chan, "banana", group=test_group)
+            GcSessions(chan, "banana", group=test_group, ro=default_ro)
 
     def test_comm_scales_with_and_gates(self, test_group, rng):
         ring = Ring(8)

@@ -11,6 +11,7 @@ from repro.core.pooling import (
     maxpool_server,
 )
 from repro.core.protocol import ModelMeta, secure_predict
+from repro.crypto.hash_ro import default_ro
 from repro.errors import ConfigError, QuantizationError
 from repro.gc.builder import max_words, maxpool_template
 from repro.gc.circuit import Circuit
@@ -133,11 +134,13 @@ class TestMaxPoolProtocol:
 
         result = run_protocol(
             lambda ch: maxpool_server(
-                ch, spec_max, s0, GcSessions(ch, "evaluator", group=test_group, seed=1), ring
+                ch, spec_max, s0,
+                GcSessions(ch, "evaluator", group=test_group, ro=default_ro, seed=1),
+                ring,
             ),
             lambda ch: maxpool_client(
                 ch, spec_max, s1, z1,
-                GcSessions(ch, "garbler", group=test_group, seed=2),
+                GcSessions(ch, "garbler", group=test_group, ro=default_ro, seed=2),
                 ring, np.random.default_rng(3),
             ),
         )
@@ -150,7 +153,7 @@ class TestMaxPoolProtocol:
 
         ring = Ring(16)
         chan, _ = make_channel_pair()
-        sessions = GcSessions(chan, "garbler", group=test_group)
+        sessions = GcSessions(chan, "garbler", group=test_group, ro=default_ro)
         with pytest.raises(ConfigError):
             maxpool_client(
                 chan, spec_max, ring.zeros((spec_max.in_features, 1)),

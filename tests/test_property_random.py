@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.hash_ro import default_ro
 from repro.gc.circuit import Circuit
 from repro.gc.evaluate import decode_outputs, evaluate
 from repro.gc.garble import garble
@@ -48,12 +49,13 @@ class TestRandomCircuits:
         g_bits = rng.integers(0, 2, size=(len(circ.garbler_inputs), n_inst), dtype=np.uint8)
         e_bits = rng.integers(0, 2, size=(len(circ.evaluator_inputs), n_inst), dtype=np.uint8)
 
-        gcirc = garble(circ, n_inst, rng)
+        gcirc = garble(circ, n_inst, rng, default_ro)
         out_labels = evaluate(
             circ,
             gcirc.tables,
             gcirc.encode(circ.garbler_inputs, g_bits),
             gcirc.encode(circ.evaluator_inputs, e_bits),
+            default_ro,
         )
         got = decode_outputs(out_labels, gcirc.output_decode_bits())
         expect = circ.eval_plain(g_bits.T, e_bits.T).T

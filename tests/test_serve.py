@@ -39,6 +39,7 @@ from repro.serve import (
     model_fingerprint,
     save_bank,
 )
+from repro.serve.bank import REPLENISH_BACKOFF_CAP_S, replenish_backoff_s
 from repro.serve.session import (
     MAX_CTRL_BYTES,
     decode_client_round,
@@ -278,6 +279,54 @@ class TestBank:
         assert sum(calls) == 3
         assert bank.metrics()["rounds_generated"] == 3
         _assert_no_leaked_serve_threads()
+
+    def test_replenisher_counts_failures_backs_off_and_recovers(
+        self, qmodel, test_group
+    ):
+        """A generator that raises N times then recovers: every failure is
+        counted and kept, retries back off exponentially, takers see the
+        failure in the exhaustion deny, and the bank refills afterwards."""
+        failures = 3
+        bank = TripletBank(
+            qmodel, 2, capacity=1, auto_replenish=True, group=test_group, seed=5
+        )
+        real_generate = bank._generate
+        stamps = []
+        release = threading.Event()
+
+        def flaky_generate(rounds):
+            stamps.append(time.monotonic())
+            if len(stamps) <= failures:
+                raise RuntimeError(f"boom {len(stamps)}")
+            assert release.wait(timeout=30.0)
+            return real_generate(rounds)
+
+        bank._generate = flaky_generate
+        with bank:
+            deadline = time.monotonic() + 30.0
+            while len(stamps) <= failures and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # Parked in the first successful attempt: the deny names the
+            # failing replenisher while the bank is still empty.
+            with pytest.raises(ProtocolError, match=r"exhausted.*failed 3 time.*boom 3"):
+                bank.take()
+            m = bank.metrics()
+            assert m["replenish_failures"] == failures
+            assert m["last_error"] == f"RuntimeError: boom {failures}"
+            release.set()
+            assert bank.take(timeout_s=30.0).round_id == 0
+        gaps = np.diff(stamps[: failures + 1])
+        for i, gap in enumerate(gaps, start=1):
+            assert gap >= replenish_backoff_s(i) * 0.9
+        assert bank.metrics()["replenish_failures"] == failures
+        _assert_no_leaked_serve_threads()
+
+    def test_replenish_backoff_doubles_to_cap(self):
+        delays = [replenish_backoff_s(n) for n in range(1, 12)]
+        assert delays[1] == 2 * delays[0]
+        assert all(b >= a for a, b in zip(delays, delays[1:]))
+        assert delays[-1] == REPLENISH_BACKOFF_CAP_S
+        assert replenish_backoff_s(10**6) == REPLENISH_BACKOFF_CAP_S
 
     def test_invalid_config_rejected(self, qmodel, test_group):
         with pytest.raises(ConfigError):

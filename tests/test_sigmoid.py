@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.relu import sigmoid_layer_client, sigmoid_layer_server
+from repro.crypto.hash_ro import default_ro
 from repro.errors import ConfigError
 from repro.gc.builder import piecewise_sigmoid_template
 from repro.gc.protocol import GcSessions
@@ -48,11 +49,13 @@ class TestProtocol:
         y0 = ring.sub(y, y1)
         return run_protocol(
             lambda ch: sigmoid_layer_server(
-                ch, y0, GcSessions(ch, "evaluator", group=group, seed=1), ring, FRAC
+                ch, y0,
+                GcSessions(ch, "evaluator", group=group, ro=default_ro, seed=1),
+                ring, FRAC,
             ),
             lambda ch: sigmoid_layer_client(
                 ch, y1, z1,
-                GcSessions(ch, "garbler", group=group, seed=2),
+                GcSessions(ch, "garbler", group=group, ro=default_ro, seed=2),
                 ring, FRAC, np.random.default_rng(3),
             ),
         )
@@ -87,7 +90,7 @@ class TestProtocol:
 
         ring = Ring(16)
         chan, _ = make_channel_pair()
-        sessions = GcSessions(chan, "garbler", group=test_group)
+        sessions = GcSessions(chan, "garbler", group=test_group, ro=default_ro)
         with pytest.raises(ConfigError):
             sigmoid_layer_client(
                 chan, ring.zeros(3), ring.zeros(3), sessions, ring, 0,
