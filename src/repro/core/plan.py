@@ -1,15 +1,15 @@
 """Layer-graph planner for the online phase.
 
-The online phase used to be a hard-coded sequential loop inside
-:class:`repro.core.protocol.Abnn2Server` / ``Abnn2Client``.  This module
-makes the structure explicit: a :class:`LayerGraphPlan` is a small DAG
-of :class:`PlanNode` steps — input share, per-layer linear product,
-GC ReLU, pooling, logits — each declaring the named **wire values** it
-consumes (``deps``), the mux stream its bulk transfer rides on
-(``stream``), and whether its garbled tables can be streamed ahead of
-the sequential round structure (``streamable``).
+This module makes the online phase's structure explicit: a
+:class:`LayerGraphPlan` is a small DAG of :class:`PlanNode` steps —
+input share, per-layer linear product, GC ReLU, pooling, logits — each
+declaring the named **wire values** it consumes (``deps``), the mux
+stream its bulk transfer rides on (``stream``), and whether its garbled
+tables can be streamed ahead of the sequential round structure
+(``streamable``).
 
-Both parties walk the same plan in declaration order (the chain is its
+Both parties walk the same plan in declaration order with one
+interpreter, ``repro.core.protocol._PartyBase._walk`` (the chain is its
 own topological order; :meth:`LayerGraphPlan.validate` pins that every
 dependency is produced by an earlier node), dispatching per node kind.
 The payoff of the explicit form:
@@ -20,14 +20,14 @@ The payoff of the explicit form:
   :class:`~repro.net.mux.ChannelMux` stream while earlier layers are
   still in flight on the main stream.  Only the per-layer label OT —
   whose choice bits are online data — stays on the sequential path.
-* **Scheduling** — the serving layer's wide rounds
-  (:class:`~repro.core.protocol.WideServerRound`) iterate the same
-  plan's linear nodes, so batching and pipelining agree on layer
-  structure by construction.
+* **Scheduling** — a batched serving session walks the same plan, with
+  its linear nodes computed by one
+  :class:`~repro.core.protocol.WideServerRound` for the whole group, so
+  batching and pipelining agree on layer structure by construction.
 
 Sequential mode (``pipelined=False``) produces a plan whose every node
-runs on the main channel in today's order — the executor then emits a
-byte-identical wire transcript to the historical loop (pinned by
+runs on the main channel in the paper's order — the walk then emits
+the historical sequential wire transcript (pinned by
 ``tests/test_pipeline.py``).
 """
 
@@ -63,8 +63,8 @@ class PlanNode:
     garbled and transferred ahead of the round structure.
 
     ``backend`` (linear nodes) records which lowering the layer's secure
-    product uses — ``"im2col"`` or ``"winograd"`` — so every executor
-    (sequential, pipelined, wide) resolves the same choice from the plan
+    product uses — ``"im2col"`` or ``"winograd"`` — so every online mode
+    (sequential, pipelined, batched) resolves the same choice from the plan
     rather than re-deriving it.
     """
 

@@ -211,6 +211,16 @@ class PhaseStats:
 
 
 class _PartyBase:
+    """State and the one online walk shared by both parties.
+
+    :meth:`_walk` interprets a :class:`LayerGraphPlan` node by node; the
+    subclasses supply only the per-node handlers (``_input``,
+    ``_linear``, ``_relu``, ``_streamed_relu``, ``_pool``, ``_logits``).
+    """
+
+    #: This party's role in every garbled circuit (the client garbles).
+    gc_role: str
+
     def __init__(
         self,
         chan: Channel,
@@ -244,6 +254,7 @@ class _PartyBase:
         chan.tracer = self.tracer
         self.offline_stats: PhaseStats | None = None
         self.online_stats: PhaseStats | None = None
+        self._gc = GcSessions(chan, self.gc_role, group=group, ro=ro, seed=seed)
 
     @property
     def plan(self) -> LayerGraphPlan:
@@ -258,7 +269,7 @@ class _PartyBase:
         *transport* property, so both endpoints agree), or an
         architecture/variant with nothing streamable (e.g. the optimized
         ReLU, whose stage-2 tables depend on online-revealed signs) all
-        fall back to the sequential executor over the raw channel.
+        fall back to the sequential walk over the raw channel.
         """
         if self.pipeline is None:
             return None
@@ -269,7 +280,7 @@ class _PartyBase:
             return None
         return plan
 
-    def _ensure_mux(self, role: str) -> ChannelMux:
+    def _ensure_mux(self) -> ChannelMux:
         """The persistent mux + main-stream GC session for this party.
 
         Created once and reused across online rounds so the per-stream
@@ -280,12 +291,113 @@ class _PartyBase:
             self._mux = ChannelMux(self.chan)
             self._gc_mux = GcSessions(
                 self._mux.stream(MAIN_STREAM),
-                role,
+                self.gc_role,
                 group=self.group,
                 ro=self.ro,
                 seed=self._seed,
             )
         return self._mux
+
+    def _online_round(self, rnd, value=None):
+        """One online round over ``rnd`` (this party's banked material).
+
+        Sequential mode walks the sequential plan over the raw channel
+        and ``_gc``.  Pipelined mode walks the pipelined plan over the
+        mux main stream and ``_gc_mux``, with bytes attributed per
+        stream; any failure poisons the mux so stream threads wake, and a
+        :class:`ChannelError` surfaces as :class:`ProtocolError`.
+        """
+        plan = self._pipelined_plan()
+        if plan is None:
+            return self._walk(self.plan, self.chan, self._gc, rnd, value)
+        mux = self._ensure_mux()
+        main = mux.stream(MAIN_STREAM)
+        saved_tracer = getattr(self.chan, "tracer", None)
+        self.chan.tracer = None  # bytes are attributed per stream instead
+        main.tracer = self.tracer
+        worker = None
+        try:
+            linear, worker = self._stream_ahead(plan, rnd)
+            return self._walk(
+                plan, main, self._gc_mux, rnd, value, linear=linear, worker=worker
+            )
+        except ChannelError as exc:
+            mux.abort(exc)
+            raise ProtocolError(f"pipelined online round failed: {exc}") from exc
+        except BaseException as exc:
+            mux.abort(exc)
+            raise
+        finally:
+            if worker is not None:
+                worker.join(timeout=mux.timeout_s + 1.0)
+            main.tracer = None
+            self.chan.tracer = saved_tracer
+
+    def _stream_ahead(self, plan: LayerGraphPlan, rnd):
+        """Pipelined-mode set-up before the walk: returns a linear handler
+        override (or ``None``) and the :class:`GarbleStreamWorker` whose
+        tables run ahead of it (or ``None``).  The evaluator has neither."""
+        return None, None
+
+    def _walk(self, plan: LayerGraphPlan, chan, gc: GcSessions, rnd, value=None,
+              *, linear=None, worker=None):
+        """Walk ``plan`` once on ``chan``/``gc``: the only online loop.
+
+        One value threads through the handlers: the client's input in,
+        then each node's output share, then the logits (client) or the
+        server's logit share.  ``linear(layer, value)`` replaces the
+        party's linear handler (the pipelined client's precomputed
+        shares, the batched server's barrier).
+        """
+        if linear is None:
+            linear = lambda idx, share: self._linear(idx, share, rnd)  # noqa: E731
+        for node in plan:
+            if node.kind == "input":
+                with self.tracer.span("input-share"):
+                    value = self._input(chan, value, rnd)
+            elif node.kind == "linear":
+                value = linear(node.layer, value)
+            elif node.kind == "relu":
+                layer = self.meta.layers[node.layer]
+                attrs = {"streamed": node.streamable} if plan.pipelined else {}
+                with self.tracer.span(
+                    f"layer{node.layer}/relu", variant=self.relu_variant,
+                    n_relus=layer.relu_features * self.batch,
+                    ring_bits=self.ring.bits, **attrs,
+                ) as span:
+                    if node.streamable:
+                        value, info = self._streamed_relu(node, value, rnd, worker)
+                        span.attrs["stream_chunks"] = info["chunks"]
+                        span.attrs["peak_table_bytes"] = info["peak_table_bytes"]
+                    else:
+                        value = self._relu(chan, gc, node.layer, value, rnd)
+            elif node.kind == "pool":
+                value = self._pool(chan, gc, node.layer, value, rnd)
+            else:  # logits
+                with self.tracer.span("logits-share"):
+                    value = self._logits(chan, value, rnd)
+        return value
+
+    def _peer_share(self, payload, rows: int, what: str) -> np.ndarray:
+        """Check a share received from the peer before it enters the ring:
+        an integer array of shape ``(rows, batch)``, else ``ProtocolError``
+        (``ring.add`` would otherwise broadcast a short share silently)."""
+        expected = (rows, self.batch)
+        if (
+            isinstance(payload, np.ndarray)
+            and payload.dtype.kind in "iu"
+            and payload.shape == expected
+        ):
+            return self.ring.reduce(payload)
+        got = (
+            f"{payload.dtype} array of shape {payload.shape}"
+            if isinstance(payload, np.ndarray)
+            else type(payload).__name__
+        )
+        raise ProtocolError(
+            f"peer sent a malformed {what} share: expected an integer array "
+            f"of shape {expected}, got {got}"
+        )
 
     def _layer_config(self, layer: LayerMeta) -> TripletConfig:
         return layer_triplet_config(
@@ -364,8 +476,8 @@ def server_linear_share(ring, layer, meta: LayerMeta, engine, share0) -> np.ndar
     """The server's linear-node math: ``W <z>_0 + U + b`` with lowering,
     lifting, and (winograd) the exact share-local division by 4.
 
-    Shared by the sequential/pipelined executors
-    (:meth:`Abnn2Server._linear_layer`) and the batched
+    Shared by the solo server's linear handler
+    (:meth:`Abnn2Server._linear`) and the batched
     :meth:`WideServerRound.linear` so the chunked im2col loop — driven by
     the conv spec's ``chunk_cols`` — can never diverge between paths.
     ``share0``'s column count is the effective batch (wide rounds pass
@@ -407,12 +519,12 @@ class Abnn2Server(_PartyBase):
 
     #: Hook for baselines that swap the offline triplet generation.
     matmul_server_cls = SecureMatmulServer
+    gc_role = "evaluator"
 
     def __init__(self, chan: Channel, model: QuantizedModel, batch: int, **kwargs) -> None:
         super().__init__(chan, ModelMeta.from_model(model), batch, **kwargs)
         self.model = model
         self._pending: list[list[SecureMatmulServer]] = []
-        self._gc = GcSessions(chan, "evaluator", group=self.group, ro=self.ro, seed=self._seed)
 
     def offline(self, rounds: int = 1) -> None:
         """Precompute triplet material for ``rounds`` prediction batches.
@@ -496,17 +608,18 @@ class Abnn2Server(_PartyBase):
                 "(checked before any bytes cross the wire)"
             )
         matmuls = self._pending[0]
-        plan = self._pipelined_plan()
-        if plan is not None:
-            run = lambda: self._online_pipelined(matmuls, plan)  # noqa: E731
-        else:
-            seq_plan = self.plan
-            run = lambda: self._online_sequential(matmuls, seq_plan)  # noqa: E731
-        y0 = self._track_phase("online", run)
+        y0 = self._track_phase("online", lambda: self._online_round(matmuls))
         self._pending.pop(0)
         return y0
 
-    def _linear_layer(self, matmuls, idx: int, share0: np.ndarray) -> np.ndarray:
+    # per-node handlers for _PartyBase._walk; ``rnd`` is the round's
+    # list of per-layer matmul engines
+    def _input(self, chan, _value, _rnd) -> np.ndarray:
+        return self._peer_share(
+            chan.recv(), self.meta.layers[0].in_features, "input"
+        )  # <x>_0
+
+    def _linear(self, idx: int, share0: np.ndarray, matmuls) -> np.ndarray:
         """One linear node: ``W <z>_0 + U + b`` plus conv lowering/lifting
         inside the layer's matmul span, then (hidden layers) truncation."""
         layer = self.model.layers[idx]
@@ -522,96 +635,28 @@ class Abnn2Server(_PartyBase):
             y0 = truncate_share(self.ring, y0, layer.truncate_bits, party=0)
         return y0
 
-    def _pool_layer(self, chan, sessions, idx: int, share0: np.ndarray) -> np.ndarray:
-        layer = self.model.layers[idx]
-        with self.tracer.span(f"layer{idx}/pool", kind=layer.pool.kind):
-            if layer.pool.kind == "avg":
-                return avgpool_share(self.ring, layer.pool, share0, party=0)
-            return maxpool_server(chan, layer.pool, share0, sessions, self.ring)
+    def _relu(self, chan, gc, _idx, y0, _rnd) -> np.ndarray:
+        return relu_layer_server(chan, y0, gc, self.ring, self.relu_variant)
 
-    def _online_sequential(self, matmuls, plan: LayerGraphPlan) -> np.ndarray:
-        """Plan-driven walk emitting the historical sequential transcript."""
-        share0 = y0 = None
-        for node in plan:
-            if node.kind == "input":
-                with self.tracer.span("input-share"):
-                    share0 = self.ring.reduce(self.chan.recv())  # <x>_0
-            elif node.kind == "linear":
-                y0 = self._linear_layer(matmuls, node.layer, share0)
-            elif node.kind == "relu":
-                meta = self.meta.layers[node.layer]
-                with self.tracer.span(
-                    f"layer{node.layer}/relu", variant=self.relu_variant,
-                    n_relus=meta.relu_features * self.batch,
-                    ring_bits=self.ring.bits,
-                ):
-                    share0 = relu_layer_server(
-                        self.chan, y0, self._gc, self.ring, self.relu_variant
-                    )
-            elif node.kind == "pool":
-                share0 = self._pool_layer(self.chan, self._gc, node.layer, share0)
-            else:  # logits
-                with self.tracer.span("logits-share"):
-                    self.chan.send(y0)
+    def _streamed_relu(self, node, y0, _rnd, _worker):
+        """Label OT on the main stream; the chunked tables the client
+        streamed ahead arrive on the node's own stream."""
+        gstream = self._mux.stream(node.stream)
+        gstream.tracer = self.tracer
+        return streamed_relu_server(
+            gstream, y0, self._gc_mux, self.ring, tracer=self.tracer
+        )
+
+    def _pool(self, chan, gc, idx: int, share0, _rnd) -> np.ndarray:
+        pool = self.model.layers[idx].pool
+        with self.tracer.span(f"layer{idx}/pool", kind=pool.kind):
+            if pool.kind == "avg":
+                return avgpool_share(self.ring, pool, share0, party=0)
+            return maxpool_server(chan, pool, share0, gc, self.ring)
+
+    def _logits(self, chan, y0, _rnd) -> np.ndarray:
+        chan.send(y0)
         return y0
-
-    def _online_pipelined(self, matmuls, plan: LayerGraphPlan) -> np.ndarray:
-        """Evaluator side of the pipelined plan.
-
-        Single-threaded: the sequential round structure (input share,
-        label OTs, pooling, logits) runs on the mux main stream while
-        each streamable ReLU's chunked tables are consumed from that
-        node's own stream — frames the client streamed ahead while this
-        side was still busy with earlier layers.
-        """
-        mux = self._ensure_mux("evaluator")
-        main = mux.stream(MAIN_STREAM)
-        saved_tracer = getattr(self.chan, "tracer", None)
-        self.chan.tracer = None  # bytes are attributed per stream instead
-        main.tracer = self.tracer
-        try:
-            share0 = y0 = None
-            for node in plan:
-                if node.kind == "input":
-                    with self.tracer.span("input-share"):
-                        share0 = self.ring.reduce(main.recv())
-                elif node.kind == "linear":
-                    y0 = self._linear_layer(matmuls, node.layer, share0)
-                elif node.kind == "relu":
-                    meta = self.meta.layers[node.layer]
-                    with self.tracer.span(
-                        f"layer{node.layer}/relu", variant=self.relu_variant,
-                        n_relus=meta.relu_features * self.batch,
-                        ring_bits=self.ring.bits, streamed=node.streamable,
-                    ) as span:
-                        if node.streamable:
-                            gstream = mux.stream(node.stream)
-                            gstream.tracer = self.tracer
-                            share0, info = streamed_relu_server(
-                                gstream, y0, self._gc_mux, self.ring,
-                                tracer=self.tracer,
-                            )
-                            span.attrs["stream_chunks"] = info["chunks"]
-                            span.attrs["peak_table_bytes"] = info["peak_table_bytes"]
-                        else:
-                            share0 = relu_layer_server(
-                                main, y0, self._gc_mux, self.ring, self.relu_variant
-                            )
-                elif node.kind == "pool":
-                    share0 = self._pool_layer(main, self._gc_mux, node.layer, share0)
-                else:  # logits
-                    with self.tracer.span("logits-share"):
-                        main.send(y0)
-            return y0
-        except ChannelError as exc:
-            mux.abort(exc)
-            raise ProtocolError(f"pipelined online round failed: {exc}") from exc
-        except BaseException as exc:
-            mux.abort(exc)
-            raise
-        finally:
-            main.tracer = None
-            self.chan.tracer = saved_tracer
 
 
 class Abnn2Client(_PartyBase):
@@ -620,11 +665,11 @@ class Abnn2Client(_PartyBase):
 
     #: Hook for baselines that swap the offline triplet generation.
     matmul_client_cls = SecureMatmulClient
+    gc_role = "garbler"
 
     def __init__(self, chan: Channel, meta: ModelMeta, batch: int, **kwargs) -> None:
         super().__init__(chan, meta, batch, **kwargs)
         self._pending: list[dict] = []
-        self._gc = GcSessions(chan, "garbler", group=self.group, ro=self.ro, seed=self._seed)
 
     def offline(self, rounds: int = 1) -> None:
         """Precompute triplets and fresh shares for ``rounds`` batches.
@@ -798,18 +843,44 @@ class Abnn2Client(_PartyBase):
         if x.shape != expected:
             raise ConfigError(f"expected input of shape {expected}, got {x.shape}")
         material = self._pending[0]
-        plan = self._pipelined_plan()
-        if plan is not None:
-            run = lambda: self._online_pipelined(material, plan, x)  # noqa: E731
-        else:
-            seq_plan = self.plan
-            run = lambda: self._online_sequential(material, seq_plan, x)  # noqa: E731
-        logits = self._track_phase("online", run)
+        logits = self._track_phase(
+            "online", lambda: self._online_round(material, x)
+        )
         # Only a completed round consumes the bank (mirrors the server).
         self._pending.pop(0)
         return logits
 
-    def _linear_layer(self, material, idx: int) -> np.ndarray:
+    def _stream_ahead(self, plan: LayerGraphPlan, material):
+        """Every linear share ``y1`` is offline-known (the banked ``V``),
+        so all of them — and from them every streamable ReLU's garbler
+        input bits — are computed up front; a background
+        :class:`~repro.core.pipeline.GarbleStreamWorker` then garbles and
+        streams each layer's tables on its own stream while the walk runs
+        the main stream.  Per layer only the label OT stays on the
+        critical path."""
+        y1s = {
+            node.layer: self._linear(node.layer, None, material)
+            for node in plan.linear_nodes
+        }
+        worker = GarbleStreamWorker(
+            self._mux,
+            build_stream_jobs(
+                plan, material["relu_shares"], y1s, self.ring, self._seed
+            ),
+            self.pipeline,
+            ro=self.ro,
+        )
+        worker.start()
+        return (lambda idx, _share: y1s[idx]), worker
+
+    # per-node handlers for _PartyBase._walk; ``material`` is the round
+    # dict (see export_offline_round)
+    def _input(self, chan, x, material) -> None:
+        # <x>_0 = x - r travels in flat form; each party lowers its own
+        # share locally where a conv layer needs it.
+        chan.send(self.ring.sub(x, material["input_mask"]))
+
+    def _linear(self, idx: int, _share, material) -> np.ndarray:
         """One linear node: ``y1 = V`` (wire-free) plus conv lifting inside
         the matmul span, then (hidden layers) truncation."""
         layer = self.meta.layers[idx]
@@ -828,147 +899,42 @@ class Abnn2Client(_PartyBase):
             y1 = truncate_share(self.ring, y1, layer.truncate_bits, party=1)
         return y1
 
-    def _online_sequential(self, material, plan: LayerGraphPlan, x) -> np.ndarray:
-        """Plan-driven walk emitting the historical sequential transcript."""
-        logits = y1 = z1_relu = None
-        for node in plan:
-            if node.kind == "input":
-                # <x>_0 = x - r travels in flat form; each party lowers its
-                # own share locally where a conv layer needs it.
-                with self.tracer.span("input-share"):
-                    self.chan.send(self.ring.sub(x, material["input_mask"]))
-            elif node.kind == "linear":
-                y1 = self._linear_layer(material, node.layer)
-            elif node.kind == "relu":
-                layer = self.meta.layers[node.layer]
-                with self.tracer.span(
-                    f"layer{node.layer}/relu", variant=self.relu_variant,
-                    n_relus=layer.relu_features * self.batch,
-                    ring_bits=self.ring.bits,
-                ):
-                    z1_relu = relu_layer_client(
-                        self.chan,
-                        y1,
-                        material["relu_shares"][node.layer],
-                        self._gc,
-                        self.ring,
-                        self.rng,
-                        self.relu_variant,
-                    )
-            elif node.kind == "pool":
-                layer = self.meta.layers[node.layer]
-                if layer.pool.kind == "max":
-                    with self.tracer.span(f"layer{node.layer}/pool", kind="max"):
-                        maxpool_client(
-                            self.chan,
-                            layer.pool,
-                            z1_relu,
-                            material["pool_shares"][node.layer],
-                            self._gc,
-                            self.ring,
-                            self.rng,
-                        )
-                # avg pooling is share-local and applied to the *next*
-                # operand offline; the client does nothing here.
-            else:  # logits
-                with self.tracer.span("logits-share"):
-                    y0 = self.ring.reduce(self.chan.recv())
-                logits = self.ring.add(y0, y1)
-        return logits
+    def _relu(self, chan, gc, idx: int, y1, material) -> np.ndarray:
+        return relu_layer_client(
+            chan, y1, material["relu_shares"][idx], gc, self.ring, self.rng,
+            self.relu_variant,
+        )
 
-    def _online_pipelined(self, material, plan: LayerGraphPlan, x) -> np.ndarray:
-        """Garbler side of the pipelined plan.
+    def _streamed_relu(self, node, _y1, material, worker):
+        """Label OT for the tables ``worker`` already streamed; its trace
+        is grafted under the ReLU span."""
+        timeout = self._mux.timeout_s
+        send_label_pairs(self._gc_mux, worker.pairs(node.name, timeout))
+        info, wtracer = worker.result(node.name, timeout)
+        self.tracer.adopt(
+            wtracer, "gc-stream", layer=node.layer, stream=node.stream,
+            chunks=info["chunks"],
+            peak_unacked_chunks=info["peak_unacked_chunks"],
+        )
+        return self.ring.reduce(material["relu_shares"][node.layer]), info
 
-        Every linear share ``y1`` is offline-known (the banked ``V``), so
-        all of them — and from them every streamable ReLU's garbler input
-        bits — are computed up front; a background
-        :class:`~repro.core.pipeline.GarbleStreamWorker` then garbles and
-        streams each layer's tables on its own stream while this thread
-        walks the sequential round structure on the main stream.  Per
-        layer only the label OT (the server's online ``y0`` bits) stays
-        on the critical path.
-        """
-        mux = self._ensure_mux("garbler")
-        main = mux.stream(MAIN_STREAM)
-        saved_tracer = getattr(self.chan, "tracer", None)
-        self.chan.tracer = None  # bytes are attributed per stream instead
-        main.tracer = self.tracer
-        worker = None
-        try:
-            y1s = {
-                node.layer: self._linear_layer(material, node.layer)
-                for node in plan.linear_nodes
-            }
-            worker = GarbleStreamWorker(
-                mux,
-                build_stream_jobs(
-                    plan, material["relu_shares"], y1s, self.ring, self._seed
-                ),
-                self.pipeline,
-                ro=self.ro,
+    def _pool(self, chan, gc, idx: int, z1, material) -> np.ndarray:
+        pool = self.meta.layers[idx].pool
+        if pool.kind != "max":
+            # avg pooling is share-local and applied to the *next*
+            # operand offline; the client does nothing here.
+            return z1
+        with self.tracer.span(f"layer{idx}/pool", kind="max"):
+            return maxpool_client(
+                chan, pool, z1, material["pool_shares"][idx], gc, self.ring,
+                self.rng,
             )
-            worker.start()
-            logits = None
-            for node in plan:
-                if node.kind == "input":
-                    with self.tracer.span("input-share"):
-                        main.send(self.ring.sub(x, material["input_mask"]))
-                elif node.kind == "linear":
-                    pass  # computed up front
-                elif node.kind == "relu":
-                    layer = self.meta.layers[node.layer]
-                    with self.tracer.span(
-                        f"layer{node.layer}/relu", variant=self.relu_variant,
-                        n_relus=layer.relu_features * self.batch,
-                        ring_bits=self.ring.bits, streamed=node.streamable,
-                    ) as span:
-                        if node.streamable:
-                            send_label_pairs(
-                                self._gc_mux,
-                                worker.pairs(node.name, mux.timeout_s),
-                            )
-                            info, wtracer = worker.result(node.name, mux.timeout_s)
-                            span.attrs["stream_chunks"] = info["chunks"]
-                            span.attrs["peak_table_bytes"] = info["peak_table_bytes"]
-                            self.tracer.adopt(
-                                wtracer, "gc-stream",
-                                layer=node.layer, stream=node.stream,
-                                chunks=info["chunks"],
-                                peak_unacked_chunks=info["peak_unacked_chunks"],
-                            )
-                        else:
-                            relu_layer_client(
-                                main, y1s[node.layer],
-                                material["relu_shares"][node.layer],
-                                self._gc_mux, self.ring, self.rng,
-                                self.relu_variant,
-                            )
-                elif node.kind == "pool":
-                    layer = self.meta.layers[node.layer]
-                    if layer.pool.kind == "max":
-                        with self.tracer.span(f"layer{node.layer}/pool", kind="max"):
-                            maxpool_client(
-                                main, layer.pool,
-                                self.ring.reduce(material["relu_shares"][node.layer]),
-                                material["pool_shares"][node.layer],
-                                self._gc_mux, self.ring, self.rng,
-                            )
-                else:  # logits
-                    with self.tracer.span("logits-share"):
-                        y0 = self.ring.reduce(main.recv())
-                    logits = self.ring.add(y0, y1s[len(self.meta.layers) - 1])
-            return logits
-        except ChannelError as exc:
-            mux.abort(exc)
-            raise ProtocolError(f"pipelined online round failed: {exc}") from exc
-        except BaseException as exc:
-            mux.abort(exc)
-            raise
-        finally:
-            if worker is not None:
-                worker.join(timeout=mux.timeout_s + 1.0)
-            main.tracer = None
-            self.chan.tracer = saved_tracer
+
+    def _logits(self, chan, y1, _material) -> np.ndarray:
+        y0 = self._peer_share(
+            chan.recv(), self.meta.layers[-1].out_features, "logits"
+        )
+        return self.ring.add(y0, y1)
 
 
 # --------------------------------------------------------------------- #
@@ -1011,9 +977,8 @@ class WideServerRound:
     """Server-side compute of one *batched* online round over ``width``
     clients' columns.
 
-    Every column-local step of :meth:`Abnn2Server.online` — the linear
-    layers (``W <Z>_0 + U + b``), im2col lowering/lifting, share-local
-    truncation, and average pooling — commutes with stacking per-client
+    Every column-local step of a linear node — ``W <Z>_0 + U + b``,
+    im2col lowering/lifting and share-local truncation — commutes with stacking per-client
     batches as extra columns, because ``lower_shares``/``lift_output``
     order columns image-major (each client's images stay a contiguous
     column block).  So one wide matmul over the concatenation of ``width``
@@ -1023,15 +988,14 @@ class WideServerRound:
     What does **not** commute is anything interactive per client: the GC
     ReLU (each client garbles with its own keys) and max-pool resharing.
     The caller (:class:`repro.serve.scheduler.BatchScheduler`) therefore
-    runs those on per-client session threads and only funnels the
-    column-local math through this class:
+    walks each client's plan on its session thread and only funnels the
+    linear nodes through this class:
 
     * :meth:`start` with each client's input share ``<x>_0``;
     * :meth:`linear` computes the next linear layer wide (plus truncation
       on hidden layers) and returns per-client blocks;
-    * after the per-client ReLU (and any max-pool reshare), feed the
-      per-client activation shares back via :meth:`resume` — average
-      pooling, being share-local, is applied wide in here;
+    * after the per-client ReLU and pooling, feed the per-client
+      activation shares back via :meth:`resume`;
     * when :attr:`complete`, the last :meth:`linear` blocks are each
       client's logit share, ready to send on its own channel.
 
@@ -1132,9 +1096,8 @@ class WideServerRound:
         return self._split(y0)
 
     def resume(self, z0_blocks: list[np.ndarray]) -> None:
-        """Feed back per-client activation shares after the interactive
-        steps: post-ReLU shares (or post-reshare blocks where the layer
-        max-pools).  Share-local average pooling is applied wide here."""
+        """Feed back per-client activation shares after the per-client
+        steps (ReLU, then any pooling): the next linear layer's input."""
         if self.complete:
             raise ProtocolError("wide round already computed all layers")
         if self._layer == 0:
@@ -1143,11 +1106,7 @@ class WideServerRound:
             raise ConfigError(
                 f"wide round spans {self.width} clients, got {len(z0_blocks)} blocks"
             )
-        layer = self.model.layers[self._linear_nodes[self._layer - 1].layer]
-        share0 = self.ring.reduce(stack_columns(z0_blocks))
-        if layer.pool is not None and layer.pool.kind == "avg":
-            share0 = avgpool_share(self.ring, layer.pool, share0, party=0)
-        self._operand = share0
+        self._operand = self.ring.reduce(stack_columns(z0_blocks))
 
 
 # --------------------------------------------------------------------- #

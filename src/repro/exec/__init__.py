@@ -1,11 +1,11 @@
 """Sharded, pipelined execution of the offline phase.
 
-The offline workload — triplet OT batches, GC garbling/evaluation — is
-embarrassingly parallel across OT instances / circuit instances.  This
-package splits it into **shards**, each an independent protocol session
-over its own stream of a :class:`repro.net.mux.ChannelMux`, and runs the
-shards on a bounded worker pool so one shard's PRG/hash compute overlaps
-another shard's bytes on the wire.
+The offline workload — triplet OT batches — is embarrassingly parallel
+across OT instances.  This package splits it into **shards**, each an
+independent protocol session over its own stream of a
+:class:`repro.net.mux.ChannelMux`, and runs the shards on a bounded
+worker pool so one shard's PRG/hash compute overlaps another shard's
+bytes on the wire.
 
 Two executors share that plan (:attr:`ShardPlan.executor`):
 
@@ -25,7 +25,6 @@ byte-identical for any worker count **and either executor** — pinned by
 ``tests/test_exec_parallel.py`` and ``tests/test_exec_process.py``.
 """
 
-from repro.exec.gcshard import run_evaluator_sharded, run_garbler_sharded
 from repro.exec.pool import run_sharded, shard_entropy
 from repro.exec.procpool import PipeChannel, mp_context, run_in_process, run_mux_shards
 from repro.exec.shm import ShmBundle, shm_enabled
@@ -44,8 +43,6 @@ __all__ = [
     "mp_context",
     "parallel_triplets_client",
     "parallel_triplets_server",
-    "run_evaluator_sharded",
-    "run_garbler_sharded",
     "run_in_process",
     "run_mux_shards",
     "run_sharded",

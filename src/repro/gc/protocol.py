@@ -49,7 +49,6 @@ class GcSessions:
         *,
         ro: RandomOracle,
         seed: int | None = None,
-        session_tag: int = 0,
     ) -> None:
         if role not in ("garbler", "evaluator"):
             raise ProtocolError(f"unknown GC role {role!r}")
@@ -58,7 +57,6 @@ class GcSessions:
         self.group = group
         self.ro = ro
         self._seed = seed
-        self._session_tag = session_tag
         self._ot = None
 
     @property
@@ -66,13 +64,11 @@ class GcSessions:
         if self._ot is None:
             if self.role == "garbler":
                 self._ot = OtExtSender(
-                    self.chan, group=self.group, ro=self.ro, seed=self._seed,
-                    session_tag=self._session_tag,
+                    self.chan, group=self.group, ro=self.ro, seed=self._seed
                 )
             else:
                 self._ot = OtExtReceiver(
-                    self.chan, group=self.group, ro=self.ro, seed=self._seed,
-                    session_tag=self._session_tag,
+                    self.chan, group=self.group, ro=self.ro, seed=self._seed
                 )
         return self._ot
 

@@ -20,13 +20,15 @@ Execution model (fork/join on the session threads themselves)::
     session thread C ──┘     (one leader runs    └── ReLU(C) ──┘
                               the stacked matmul)
 
+Each session thread runs its party's ordinary plan walk
+(``_PartyBase._walk``) with a linear handler that joins the barrier.
 Per-client I/O — the grant, the dealt material, the input share, the GC
 ReLU and max-pool resharing (which *cannot* merge: each client garbles
-with its own keys), and the logits — stays on the owning session thread;
-only the column-local linear algebra crosses the barrier.  A slot that
-fails mid-round aborts the barrier, so its batch peers fail fast with a
-typed error instead of hanging — the blast radius of one bad client is
-bounded by ``batch_max``.
+with its own keys), pooling, and the logits — stays on the owning
+session thread; only the column-local linear algebra crosses the
+barrier.  A slot that fails mid-round aborts the barrier, so its batch
+peers fail fast with a typed error instead of hanging — the blast
+radius of one bad client is bounded by ``batch_max``.
 
 Admission control happens *before* anything is granted: a full request
 queue or a bank below its depth threshold produces a structured deny on
@@ -40,9 +42,7 @@ import threading
 import time
 from collections import deque
 
-from repro.core.pooling import maxpool_server
 from repro.core.protocol import WideServerRound
-from repro.core.relu import relu_layer_server
 from repro.errors import AdmissionDenied, ConfigError, ProtocolError
 from repro.serve.session import encode_client_round, send_ctrl
 
@@ -303,7 +303,9 @@ class BatchScheduler:
             ) from exc
 
     def _run_slot(self, party, group, slot, round_idx, wait_ms) -> None:
-        chan, tracer, ring = party.chan, party.tracer, party.ring
+        """Serve one slot: the party's own plan walk on its session
+        channel, with every linear node parked on the group barrier."""
+        chan, tracer = party.chan, party.tracer
         rnd = slot.round
         try:
             send_ctrl(
@@ -318,32 +320,19 @@ class BatchScheduler:
                 with tracer.span("deal"):
                     chan.send(encode_client_round(rnd.client_material))
 
-                def _run():
-                    with tracer.span("input-share"):
-                        slot.inbox = ring.reduce(chan.recv())
+                def park(_idx, share):
+                    # The linear node is the wide round's: hand this
+                    # slot's share to the barrier, take back its block.
+                    slot.inbox = share
                     self._step(group)
-                    for idx, layer in enumerate(party.meta.layers[:-1]):
-                        with tracer.span(
-                            f"layer{idx}/relu", variant=party.relu_variant,
-                            n_relus=layer.relu_features * self.bank.batch,
-                            ring_bits=ring.bits,
-                        ):
-                            z0 = relu_layer_server(
-                                chan, slot.outbox, party._gc, ring,
-                                party.relu_variant,
-                            )
-                        if layer.pool is not None and layer.pool.kind == "max":
-                            with tracer.span(f"layer{idx}/pool", kind="max"):
-                                z0 = maxpool_server(
-                                    chan, layer.pool, z0, party._gc, ring
-                                )
-                        slot.inbox = z0
-                        self._step(group)
-                    with tracer.span("logits-share"):
-                        chan.send(slot.outbox)
                     return slot.outbox
 
-                party._track_phase("online", _run)
+                party._track_phase(
+                    "online",
+                    lambda: party._walk(
+                        party.plan, chan, party._gc, None, linear=park
+                    ),
+                )
         except Exception:
             # Fail fast for the whole group: peers parked on the barrier
             # get BrokenBarrierError -> ProtocolError instead of waiting

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.protocol import Abnn2Client, Abnn2Server, ModelMeta, secure_predict
+from repro.core.pipeline import PipelineConfig
+from repro.core.protocol import (
+    Abnn2Client,
+    Abnn2Server,
+    ModelMeta,
+    _joint_predict,
+    secure_predict,
+)
 from repro.errors import ConfigError, ProtocolError
 from repro.net import make_channel_pair
+from repro.nn.model import mnist_mlp
 from repro.nn.quantize import quantize_model
 from repro.quant.fragments import FragmentScheme
 from repro.utils.ring import Ring
@@ -311,6 +319,75 @@ class TestOfflineExportLoad:
         server = Abnn2Server(server_chan, qmodel_ternary, 1, group=test_group)
         with pytest.raises(ConfigError):
             server.load_offline_round(material.server[:-1])
+
+
+def _server_sending(make_payload):
+    """A server whose logits share is replaced by ``make_payload(y0)``."""
+
+    class Server(Abnn2Server):
+        def _logits(self, chan, y0, rnd):
+            chan.send(make_payload(y0))
+            return y0
+
+    return Server
+
+
+class TestPeerShareValidation:
+    """A share received from the peer is checked where the online walk
+    receives it: an integer array of shape ``(features, batch)``, else a
+    typed ProtocolError (never a silent broadcast or a bare ValueError)."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        model = mnist_mlp(seed=3, hidden=12, input_dim=20, classes=5)
+        return quantize_model(model, FragmentScheme.ternary(), Ring(32), frac_bits=6)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\x00" * 64,
+            np.zeros((20, 1), dtype=np.uint64),  # batch 2 expected
+            np.zeros((20, 2, 1), dtype=np.uint64),
+        ],
+        ids=["bytes", "one-column", "3-d"],
+    )
+    def test_server_rejects_malformed_input_share(self, small, test_group, payload):
+        from repro.net.runner import run_protocol
+
+        meta = ModelMeta.from_model(small)
+
+        def server_fn(chan):
+            server = Abnn2Server(chan, small, 2, group=test_group, seed=1)
+            server.offline()
+            server.online()
+
+        def client_fn(chan):
+            client = Abnn2Client(chan, meta, 2, group=test_group, seed=2)
+            client.offline()
+            chan.send(payload)  # in place of <x>_0
+
+        with pytest.raises(ProtocolError, match="malformed input share"):
+            run_protocol(server_fn, client_fn, timeout_s=30.0)
+
+    @pytest.mark.parametrize(
+        "make_payload,pipeline",
+        [
+            (lambda y0: y0[:, :1], None),
+            (lambda y0: np.uint64(7), None),
+            (lambda y0: y0.tobytes(), None),
+            (lambda y0: y0[:, :1], PipelineConfig(chunk=16)),
+        ],
+        ids=["one-column", "scalar", "bytes", "one-column-pipelined"],
+    )
+    def test_client_rejects_malformed_logits_share(
+        self, small, test_group, make_payload, pipeline
+    ):
+        x = np.random.default_rng(0).normal(scale=0.5, size=(2, 20))
+        with pytest.raises(ProtocolError, match="malformed logits share"):
+            _joint_predict(
+                _server_sending(make_payload), Abnn2Client, small, x,
+                group=test_group, timeout_s=30.0, pipeline=pipeline,
+            )
 
 
 class TestRing64:

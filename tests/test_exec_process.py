@@ -28,17 +28,13 @@ from repro.exec import (
     ShmBundle,
     parallel_triplets_client,
     parallel_triplets_server,
-    run_evaluator_sharded,
-    run_garbler_sharded,
     run_in_process,
     run_sharded,
 )
-from repro.gc.builder import relu_template
 from repro.net.channel import make_channel_pair
 from repro.net.mux import ChannelMux
 from repro.perf.trace import Tracer
 from repro.quant.fragments import FragmentScheme
-from repro.utils.bits import bits_to_int, int_to_bits
 from repro.utils.ring import Ring
 
 from tests.test_exec_parallel import _both, _no_thread_leak, _tcp_pair
@@ -182,37 +178,6 @@ class TestCrossExecutorDeterminism:
         )
         expected = config.ring.matmul(config.ring.reduce(w), r)
         assert (config.ring.add(u, v) == expected).all()
-
-    def test_gc_process_executor_matches(self, test_group, rng):
-        ring = Ring(16)
-        circ = relu_template(16)
-        n = 13  # not divisible by shards: uneven instance blocks
-        y, y1, z1 = ring.sample(rng, n), ring.sample(rng, n), ring.sample(rng, n)
-        y0 = ring.sub(y, y1)
-        g_bits = np.concatenate(
-            [int_to_bits(y1, 16), int_to_bits(z1, 16)], axis=1
-        ).T.copy()
-        e_bits = int_to_bits(y0, 16).T.copy()
-
-        outs = {}
-        for executor in ("thread", "process"):
-            plan = ShardPlan(shards=3, workers=3, executor=executor)
-            with _no_thread_leak(), _no_process_leak():
-                _, outs[executor] = _both(
-                    lambda chan: run_garbler_sharded(
-                        chan, circ, g_bits, n, plan, seed=31, group=test_group,
-                        ro=default_ro,
-                    ),
-                    lambda chan: run_evaluator_sharded(
-                        chan, circ, e_bits, n, plan, seed=32, group=test_group,
-                        ro=default_ro,
-                    ),
-                    tuple(reversed(make_channel_pair(timeout_s=60.0))),
-                )
-        got = ring.reduce(bits_to_int(outs["thread"].T))
-        relu = np.where(ring.to_signed(y) > 0, y, 0).astype(np.uint64)
-        assert (got == ring.sub(relu, z1)).all()
-        assert (outs["thread"] == outs["process"]).all()
 
     def test_executor_validated(self):
         with pytest.raises(ConfigError, match="executor"):

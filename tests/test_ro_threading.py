@@ -23,7 +23,6 @@ from repro.core.relu import sigmoid_layer_client, sigmoid_layer_server
 from repro.crypto.fastro import fast_ro
 from repro.crypto.hash_ro import RandomOracle, default_ro, sha256_ro, siphash_ro
 from repro.crypto.siphash import prf_expand
-from repro.exec import ShardPlan, run_evaluator_sharded, run_garbler_sharded
 from repro.gc.builder import relu_template
 from repro.gc.evaluate import evaluate
 from repro.gc.garble import garble
@@ -180,8 +179,6 @@ class TestGcEntryPointsRequireOracle:
             lambda: garble_stream(None, circuit, None, 1, rng),
             lambda: evaluate_stream(None, circuit, None, 1),
             lambda: GarbleStreamWorker(None, [], PipelineConfig()),
-            lambda: run_garbler_sharded(None, circuit, None, 1, ShardPlan()),
-            lambda: run_evaluator_sharded(None, circuit, None, 1, ShardPlan()),
         ]
         for call in calls:
             with pytest.raises(TypeError, match="ro"):
